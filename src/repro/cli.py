@@ -23,11 +23,14 @@ both leave the reported numbers bit-identical.
 from __future__ import annotations
 
 import argparse
+import collections.abc
+import functools
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.experiments.api import RESULT_FORMATS, Experiment, RuntimeOptions
 from repro.experiments.registry import get_experiment, iter_experiments
@@ -45,6 +48,81 @@ EXPERIMENTS: Dict[str, Experiment] = {
 #: (see :mod:`repro.serve`) -- and the telemetry-stream inspector
 #: (see :mod:`repro.obs`).
 TOOL_COMMANDS = ("profile", "bench", "serve", "submit", "obs")
+
+
+def _help_formatter():
+    """``HelpFormatter`` bound to the terminal width, read once per parser build.
+
+    argparse builds a formatter on every parser-level ``add_argument`` (to
+    check the metavar), and each default one queries the terminal size
+    again.  ``columns - 2`` is the width the default formatter computes
+    itself, so help output is unchanged.
+    """
+    width = shutil.get_terminal_size().columns - 2
+    return functools.partial(argparse.HelpFormatter, width=width)
+
+
+class _SubparserMap(collections.abc.Mapping):
+    """Subcommand name -> parser, building a deferred parser on first lookup.
+
+    Membership and iteration see every name without building anything, so
+    argparse can validate and list subcommands; indexing (dispatch, or a
+    walk over ``choices``) builds the parser once and keeps it.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[str, Any] = {}
+
+    def defer(self, name: str, build: Callable[[], argparse.ArgumentParser]) -> None:
+        self._entries[name] = build
+
+    def __setitem__(self, name: str, parser: argparse.ArgumentParser) -> None:
+        self._entries[name] = parser
+
+    def __getitem__(self, name: str) -> argparse.ArgumentParser:
+        entry = self._entries[name]
+        if not isinstance(entry, argparse.ArgumentParser):
+            entry = self._entries[name] = entry()
+        return entry
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._entries
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+class _SubcommandsAction(argparse._SubParsersAction):
+    """argparse's subcommand action with experiment subparsers built on demand.
+
+    ``repro figure4 ...`` dispatches to one subparser, but building all of
+    them (a parser plus ~10 flags per experiment) was most of
+    :func:`build_parser`.  :meth:`add_deferred_parser` registers the name and
+    its help line at once and builds the parser the first time it is looked
+    up, so dispatch, ``--help`` output and walks over ``choices`` are
+    unchanged.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._name_parser_map = self.choices = _SubparserMap()
+
+    def add_deferred_parser(
+        self, name: str, fill: Callable[[argparse.ArgumentParser], None], **kwargs
+    ) -> None:
+        """Like ``add_parser``, but ``fill(parser)`` adds the flags on first use."""
+        kwargs.setdefault("prog", f"{self._prog_prefix} {name}")
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), kwargs.pop("help")))
+
+        def build() -> argparse.ArgumentParser:
+            parser = self._parser_class(**kwargs)
+            fill(parser)
+            return parser
+
+        self._name_parser_map.defer(name, build)
 
 
 def _positive_int(value: str) -> int:
@@ -140,7 +218,7 @@ def _add_payload_output_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_tool_subcommands(subparsers) -> None:
+def _add_tool_subcommands(subparsers, formatter) -> None:
     profile = subparsers.add_parser(
         "profile",
         help="run a registered experiment under cProfile and report hotspots",
@@ -148,6 +226,7 @@ def _add_tool_subcommands(subparsers) -> None:
         "aggregates cumulative time per function and per repro module and is "
         "validated against repro/perf schema 'profile' before delivery.",
         allow_abbrev=False,
+        formatter_class=formatter,
     )
     profile.add_argument("target", metavar="experiment", help="registered experiment to profile")
     profile.add_argument(
@@ -172,6 +251,7 @@ def _add_tool_subcommands(subparsers) -> None:
         "kernel speedups vs the pure-Python references, machine fingerprint and "
         "git revision.",
         allow_abbrev=False,
+        formatter_class=formatter,
     )
     bench.add_argument(
         "--quick",
@@ -203,6 +283,7 @@ def _add_tool_subcommands(subparsers) -> None:
         "admission, streams progress to subscribers, and shares one result "
         "cache across all clients.  SIGTERM drains running jobs and exits 0.",
         allow_abbrev=False,
+        formatter_class=formatter,
     )
     endpoint = serve.add_mutually_exclusive_group(required=True)
     endpoint.add_argument(
@@ -291,6 +372,7 @@ def _add_tool_subcommands(subparsers) -> None:
         "results are bit-identical to a local run but shared through the "
         "daemon's cache.",
         allow_abbrev=False,
+        formatter_class=formatter,
     )
     submit.add_argument("target", metavar="experiment", help="registered experiment to submit")
     submit.add_argument(
@@ -335,6 +417,7 @@ def _add_tool_subcommands(subparsers) -> None:
         "and prints a human-readable summary; `chrome` converts it to a Chrome "
         "trace-event JSON loadable in chrome://tracing or Perfetto.",
         allow_abbrev=False,
+        formatter_class=formatter,
     )
     obs.add_argument(
         "action",
@@ -355,15 +438,32 @@ def _add_tool_subcommands(subparsers) -> None:
     )
 
 
+def _add_experiment_flags(experiment: Experiment, subparser: argparse.ArgumentParser) -> None:
+    for spec in experiment.cli_specs():
+        spec.add_to_parser(subparser)
+    if experiment.supports_runtime:
+        _add_runtime_flags(subparser)
+    _add_output_flags(subparser)
+    _add_telemetry_flag(subparser)
+    # `repro <name> --list` keeps the listing behaviour (distinct dest:
+    # argparse copies the subparser namespace over the parent's, which
+    # would otherwise clobber a pre-subcommand --list with the default).
+    subparser.add_argument(
+        "--list", dest="sub_list", action="store_true", help=argparse.SUPPRESS
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False everywhere: prefix matching would let a misplaced
     # flag (e.g. `repro --cache figure4`) silently rewrite itself into a
     # different option instead of being the hard error the subcommand
     # redesign promises.
+    formatter = _help_formatter()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Path-oblivious entanglement swapping (HotNets 2025) reproduction",
         allow_abbrev=False,
+        formatter_class=formatter,
     )
     parser.add_argument("--list", action="store_true", help="list available experiments and exit")
     parser.add_argument(
@@ -378,27 +478,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache directory for --clear-cache (default: $REPRO_CACHE_DIR "
         "or ~/.cache/repro-quantum)",
     )
-    subparsers = parser.add_subparsers(dest="experiment", metavar="experiment")
+    subparsers = parser.add_subparsers(
+        action=_SubcommandsAction, dest="experiment", metavar="experiment"
+    )
     for experiment in iter_experiments():
-        subparser = subparsers.add_parser(
+        subparsers.add_deferred_parser(
             experiment.name,
+            functools.partial(_add_experiment_flags, experiment),
             help=experiment.summary,
             description=experiment.summary,
             allow_abbrev=False,
+            formatter_class=formatter,
         )
-        for spec in experiment.cli_specs():
-            spec.add_to_parser(subparser)
-        if experiment.supports_runtime:
-            _add_runtime_flags(subparser)
-        _add_output_flags(subparser)
-        _add_telemetry_flag(subparser)
-        # `repro <name> --list` keeps the listing behaviour (distinct dest:
-        # argparse copies the subparser namespace over the parent's, which
-        # would otherwise clobber a pre-subcommand --list with the default).
-        subparser.add_argument(
-            "--list", dest="sub_list", action="store_true", help=argparse.SUPPRESS
-        )
-    _add_tool_subcommands(subparsers)
+    _add_tool_subcommands(subparsers, formatter)
     return parser
 
 

@@ -25,9 +25,11 @@ O(everything):
   nodes are skipped in O(1).  A node skipped this way would have enumerated
   an empty candidate list under the naive engine, so the executed swap
   sequence — and therefore the ledger fixed point — is unchanged.
-* **Vectorized initial sweep** — under global knowledge the initial
-  candidate population is computed with NumPy over the whole count matrix
-  rather than per-pair Python loops.
+* **Vectorized initial sweep** — under global knowledge each repeater's
+  initial candidate set is computed with NumPy over a small per-repeater
+  block (its eligible partners' headrooms and the counts between them,
+  read from the ledger's partner views) rather than per-pair Python loops;
+  no dense n x n matrix is ever built.
 
 The optional ``self_check`` mode re-runs the naive enumeration beside every
 incremental answer and raises on any divergence; the property tests use it
@@ -321,73 +323,53 @@ class IncrementalMaxMinBalancer(MaxMinBalancer):
         self._dirty_pairs.clear()
         self._stale.clear()
         self._eligible.clear()
-        for (node_a, node_b), count in self.ledger.nonzero_pairs().items():
-            cost = (
-                self._uniform_cost
-                if self._uniform_cost is not None
-                else self.distillation_cost(node_a, node_b)
-            )
-            if count - cost >= 1:
-                self._eligible.setdefault(node_a, set()).add(node_b)
-                self._eligible.setdefault(node_b, set()).add(node_a)
-        if self._fast_global:
-            self._vectorized_sweep()
-        else:
-            for node in self.ledger.nodes:
-                self._rebuild_node(node)
+        for repeater in self.ledger.nodes:
+            view = self.ledger.partner_view(repeater)
+            partners = sorted(view, key=repr)
+            slack = [self._headroom(repeater, partner, view[partner]) for partner in partners]
+            eligible = [partner for partner, head in zip(partners, slack) if head >= 1]
+            if eligible:
+                self._eligible[repeater] = set(eligible)
+            if not self._fast_global:
+                self._rebuild_node(repeater)
+            elif len(eligible) >= 2:
+                headroom = [head for head in slack if head >= 1]
+                self._vectorized_sweep(repeater, eligible, headroom)
 
-    def _vectorized_sweep(self) -> None:
-        """Batch evaluation of every candidate under global knowledge.
+    def _vectorized_sweep(
+        self, repeater: NodeId, partners: List[NodeId], headroom: List[int]
+    ) -> None:
+        """Evaluate one repeater's whole candidate block under global knowledge.
 
-        Builds the dense count and distillation-cost matrices once, then
-        evaluates each repeater's full candidate block through the
-        ``balancer-candidates`` kernel (see :mod:`repro.perf.kernels`)
-        instead of per-pair Python loops.
+        ``partners`` are the repeater's donation-eligible partners in
+        ``repr`` order and ``headroom`` their counts minus distillation
+        cost.  The k x k recipient block is read from the partners' ledger
+        views, and the ``balancer-candidates`` kernel (see
+        :mod:`repro.perf.kernels`) picks the valid pairings instead of a
+        per-pair Python loop.  Memory stays O(partners²) per repeater; no
+        n x n matrix is built.
         """
-        nonzero = self.ledger.nonzero_pairs()
-        if not nonzero:
+        views = [self.ledger.partner_view(partner) for partner in partners]
+        block = [[view.get(other, 0) for other in partners] for view in views]
+        rows, cols = candidate_block(
+            np.array(headroom, dtype=np.int64), np.array(block, dtype=np.int64)
+        )
+        if rows.size == 0:
             return
-        nodes = self.ledger.nodes
-        index = {node: i for i, node in enumerate(nodes)}
-        n = len(nodes)
-        counts = np.zeros((n, n), dtype=np.int64)
-        costs = np.zeros((n, n), dtype=np.int64)
-        for (a, b), count in nonzero.items():
-            ia, ib = index[a], index[b]
-            counts[ia, ib] = counts[ib, ia] = count
-            cost = self.distillation_cost(a, b)
-            costs[ia, ib] = costs[ib, ia] = cost
-        for repeater in nodes:
-            partners = sorted(self.ledger.partner_view(repeater), key=repr)
-            if len(partners) < 2:
-                continue
-            i = index[repeater]
-            partner_idx = np.array([index[p] for p in partners], dtype=np.intp)
-            headroom = counts[i, partner_idx] - costs[i, partner_idx]
-            eligible = headroom >= 1
-            if np.count_nonzero(eligible) < 2:
-                continue
-            elig_idx = partner_idx[eligible]
-            elig_head = headroom[eligible]
-            elig_nodes = [p for p, ok in zip(partners, eligible) if ok]
-            recipient = counts[np.ix_(elig_idx, elig_idx)]
-            rows, cols = candidate_block(elig_head, recipient)
-            if rows.size == 0:
-                continue
-            cache: Dict[PairKey, SwapCandidate] = {}
-            own_counts = counts[i, elig_idx]
-            for r, c in zip(rows.tolist(), cols.tolist()):
-                left, right = elig_nodes[r], elig_nodes[c]
-                cache[(left, right)] = SwapCandidate(
-                    repeater=repeater,
-                    left=left,
-                    right=right,
-                    recipient_count=int(recipient[r, c]),
-                    left_count=int(own_counts[r]),
-                    right_count=int(own_counts[c]),
-                )
-            self._candidates[repeater] = cache
-            self._active.add(repeater)
+        own = self.ledger.partner_view(repeater)
+        cache: Dict[PairKey, SwapCandidate] = {}
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            left, right = partners[r], partners[c]
+            cache[(left, right)] = SwapCandidate(
+                repeater=repeater,
+                left=left,
+                right=right,
+                recipient_count=block[r][c],
+                left_count=own[left],
+                right_count=own[right],
+            )
+        self._candidates[repeater] = cache
+        self._active.add(repeater)
 
     # ------------------------------------------------------------------ #
     # Overridden queries

@@ -8,7 +8,8 @@ subclass: a ``name``, a one-line ``summary``, a typed
 the docs gates and programmatic callers iterate -- adding a workload means
 registering one class, nothing else.
 
-One module per experiment of the per-experiment index in DESIGN.md:
+One module per experiment (the pipeline each one drives is described in
+``docs/architecture.md``):
 
 * :mod:`repro.experiments.figure4` -- swap overhead vs distillation
   overhead ``D`` (paper Figure 4),

@@ -1,4 +1,6 @@
-"""Experiment E5: ablations over the design choices DESIGN.md calls out.
+"""Experiment E5: ablations over the protocol's design choices.
+
+The pipeline each knob plugs into is described in ``docs/architecture.md``.
 
 Each ablation varies exactly one knob of the path-oblivious protocol on a
 fixed workload:

@@ -1,4 +1,9 @@
-"""Erdős–Rényi random generation graphs (conditioned on connectivity)."""
+"""Erdős–Rényi random generation graphs (conditioned on connectivity).
+
+Row ``a`` decides the pairs ``(a, b > a)`` with one ``rng.random(n - a - 1)``
+call: the same draws, in the same order, as one scalar draw per pair, so a
+seed yields the same graph and leaves the generator in the same state.
+"""
 
 from __future__ import annotations
 
@@ -31,10 +36,11 @@ def erdos_renyi_topology(
         topology = Topology(name=f"erdos-renyi-{n_nodes}-p{edge_probability:g}")
         for node in range(n_nodes):
             topology.add_node(node)
-        for node_a in range(n_nodes):
-            for node_b in range(node_a + 1, n_nodes):
-                if generator.random() < edge_probability:
-                    topology.add_edge(node_a, node_b, generation_rate)
+        for node_a in range(n_nodes - 1):
+            first = node_a + 1
+            accept = generator.random(n_nodes - first) < edge_probability
+            for k in np.flatnonzero(accept).tolist():
+                topology.add_edge(node_a, first + k, generation_rate)
         if topology.is_connected():
             return topology
     raise RuntimeError(

@@ -32,8 +32,10 @@ def edge_key(node_a: NodeId, node_b: NodeId) -> EdgeKey:
     """Canonical unordered edge key (mirrors :func:`repro.quantum.bell_pair.pair_key`)."""
     if node_a == node_b:
         raise ValueError(f"self-loop edges are not allowed (node {node_a!r})")
-    first, second = sorted((node_a, node_b), key=repr)
-    return (first, second)
+    # One repr per node; a tie keeps the argument order, as a stable sort would.
+    if repr(node_b) < repr(node_a):
+        return (node_b, node_a)
+    return (node_a, node_b)
 
 
 def group_key(*nodes: NodeId) -> GroupKey:

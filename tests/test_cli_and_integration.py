@@ -93,6 +93,29 @@ class TestSubcommandRedesign:
         assert flag in stderr
         assert argv[0] in stderr  # names the experiment the flag is wrong for
 
+    def test_experiment_subparsers_are_built_on_first_lookup(self):
+        """Listing and validating subcommand names builds no experiment
+        subparser; looking one up builds it once and keeps it."""
+        import argparse
+
+        built = []
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        entries = subparsers.choices._entries
+        for name, entry in list(entries.items()):
+            if name in EXPERIMENTS:
+                entries[name] = lambda entry=entry, name=name: built.append(name) or entry()
+        assert list(subparsers.choices)[: len(EXPERIMENTS)] == list(EXPERIMENTS)
+        assert "figure4" in subparsers.choices and "figure42" not in subparsers.choices
+        assert built == []
+        figure4 = subparsers.choices["figure4"]
+        assert subparsers.choices["figure4"] is figure4
+        assert built == ["figure4"]
+        assert "--nodes" in figure4.format_help()
+
     def test_list_prints_registry_summaries(self, capsys):
         from repro.experiments.registry import iter_experiments
 

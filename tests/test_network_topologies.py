@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,8 @@ from repro.network.topologies import (
     waxman_topology,
 )
 from repro.network.topologies.grid import coordinates_of, grid_side, node_at
+from repro.network.topologies.waxman import accept_draws, edge_probability
+from repro.network.topology import Topology
 
 
 class TestCycle:
@@ -189,3 +194,155 @@ class TestRegistry:
 
     def test_case_insensitive(self, rng):
         assert topology_from_name("CYCLE", 9, rng=rng).n_nodes == 9
+
+
+# ---------------------------------------------------------------------- #
+# Seed-pinned generator goldens
+# ---------------------------------------------------------------------- #
+def _waxman_params(n_nodes):
+    # scaling_topology's Waxman parameters (mean degree ~10 at any size).
+    return {"alpha": min(0.6, 10.0 / (0.29 * n_nodes)), "beta": 0.3}
+
+
+def _erdos_renyi_params(n_nodes):
+    # scaling_topology's G(n, p) parameters.
+    probability = min(0.3, max(10.0 / n_nodes, 1.5 * math.log(n_nodes) / n_nodes))
+    return {"edge_probability": probability}
+
+
+def _scalar_waxman(n_nodes, alpha, beta, rng, max_attempts=200):
+    """Oracle: one scalar draw per node pair, in a Python double loop."""
+    max_distance = math.sqrt(2.0)
+    for _ in range(max_attempts):
+        positions = {node: (float(rng.random()), float(rng.random())) for node in range(n_nodes)}
+        topology = Topology(name=f"waxman-{n_nodes}", positions=positions)
+        for node in range(n_nodes):
+            topology.add_node(node, position=positions[node])
+        for node_a in range(n_nodes):
+            for node_b in range(node_a + 1, n_nodes):
+                xa, ya = positions[node_a]
+                xb, yb = positions[node_b]
+                distance = math.hypot(xa - xb, ya - yb)
+                probability = alpha * math.exp(-distance / (beta * max_distance))
+                if rng.random() < probability:
+                    topology.add_edge(node_a, node_b, 1.0)
+        if topology.is_connected():
+            return topology
+    raise RuntimeError("no connected sample")
+
+
+def _scalar_erdos_renyi(n_nodes, edge_probability, rng, max_attempts=200):
+    """Oracle: one scalar draw per node pair, in a Python double loop."""
+    for _ in range(max_attempts):
+        topology = Topology(name=f"erdos-renyi-{n_nodes}-p{edge_probability:g}")
+        for node in range(n_nodes):
+            topology.add_node(node)
+        for node_a in range(n_nodes):
+            for node_b in range(node_a + 1, n_nodes):
+                if rng.random() < edge_probability:
+                    topology.add_edge(node_a, node_b, 1.0)
+        if topology.is_connected():
+            return topology
+    raise RuntimeError("no connected sample")
+
+
+_BUILDERS = {
+    "waxman": (lambda n, rng: waxman_topology(n, rng=rng, **_waxman_params(n))),
+    "erdos-renyi": (lambda n, rng: erdos_renyi_topology(n, rng=rng, **_erdos_renyi_params(n))),
+}
+_ORACLES = {
+    "waxman": (lambda n, rng: _scalar_waxman(n, rng=rng, **_waxman_params(n))),
+    "erdos-renyi": (lambda n, rng: _scalar_erdos_renyi(n, rng=rng, **_erdos_renyi_params(n))),
+}
+
+
+def _digest(topology, rng):
+    """Nodes, edges, adjacency order, positions and the generator's next draw."""
+    digest = hashlib.sha256()
+    nodes = topology.nodes
+    digest.update(repr(nodes).encode())
+    digest.update(repr(topology.edges()).encode())
+    digest.update(repr([topology.neighbors(node) for node in nodes]).encode())
+    digest.update(repr([topology.position(node) for node in nodes]).encode())
+    digest.update(repr(float(rng.random())).encode())
+    return digest.hexdigest()[:16]
+
+
+#: (generator, n, seed) -> digest, recorded with the per-pair scalar loops.
+#: Waxman n=15 seeds 1 and 2 take 2 and 7 connectivity attempts; ER n=15
+#: seed 6 takes 2.
+GOLDEN_DIGESTS = {
+    ("waxman", 15, 1): "00cd30573c28cee3",
+    ("waxman", 15, 2): "f32bbf181b62bc64",
+    ("waxman", 15, 3): "0bbcb8e804aa6e9e",
+    ("waxman", 200, 1): "e6705c8d67cace02",
+    ("waxman", 200, 2): "809aa96bea08594b",
+    ("waxman", 200, 3): "196d58496210fe10",
+    ("waxman", 1000, 1): "7bceb8c9ff3d6fc4",
+    ("waxman", 1000, 2): "dcb71282af24870c",
+    ("waxman", 1000, 3): "98ce229e8398644f",
+    ("erdos-renyi", 15, 1): "7c9af27c85ae8b26",
+    ("erdos-renyi", 15, 2): "88efdefd4d9e2fab",
+    ("erdos-renyi", 15, 3): "297f63207bcfa454",
+    ("erdos-renyi", 15, 6): "06c948f4de06b4c2",
+    ("erdos-renyi", 200, 1): "46e8ea0a058ab069",
+    ("erdos-renyi", 200, 2): "4ef11cd3e4c40c3d",
+    ("erdos-renyi", 200, 3): "2786c5d6a7006975",
+    ("erdos-renyi", 1000, 1): "4c5181163a690ba3",
+    ("erdos-renyi", 1000, 2): "97f00e4781b2a205",
+    ("erdos-renyi", 1000, 3): "76d2a0091a6f8c28",
+}
+
+
+class TestGeneratorGoldens:
+    @pytest.mark.parametrize("kind, n_nodes, seed", sorted(GOLDEN_DIGESTS))
+    def test_pinned_digest(self, kind, n_nodes, seed):
+        rng = np.random.default_rng(seed)
+        topology = _BUILDERS[kind](n_nodes, rng)
+        assert _digest(topology, rng) == GOLDEN_DIGESTS[(kind, n_nodes, seed)]
+
+    @pytest.mark.parametrize(
+        "kind, n_nodes, seed", [key for key in sorted(GOLDEN_DIGESTS) if key[1] <= 200]
+    )
+    def test_matches_scalar_oracle(self, kind, n_nodes, seed):
+        fast_rng = np.random.default_rng(seed)
+        oracle_rng = np.random.default_rng(seed)
+        fast = _digest(_BUILDERS[kind](n_nodes, fast_rng), fast_rng)
+        assert fast == _digest(_ORACLES[kind](n_nodes, oracle_rng), oracle_rng)
+
+    @pytest.mark.parametrize("kind, seed, attempts", [("erdos-renyi", 6, 2), ("waxman", 2, 7)])
+    def test_retry_path_consumes_whole_attempts(self, kind, seed, attempts):
+        n_nodes = 15
+        per_attempt = n_nodes * (n_nodes - 1) // 2 + (2 * n_nodes if kind == "waxman" else 0)
+        rng = np.random.default_rng(seed)
+        _BUILDERS[kind](n_nodes, rng)
+        expected = np.random.default_rng(seed)
+        expected.random(attempts * per_attempt)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+
+class TestWaxmanNearTies:
+    POSITIONS = [(0.1, 0.2), (0.7, 0.9), (0.33, 0.01), (0.5, 0.5)]
+
+    def _exact(self, alpha, scale):
+        return [edge_probability(alpha, scale, self.POSITIONS[0], b) for b in self.POSITIONS[1:]]
+
+    @pytest.mark.parametrize("skew_ulps", [-3, -1, 0, 1, 3])
+    def test_draws_at_and_around_the_scalar_probability(self, skew_ulps):
+        alpha, scale = 0.6, 0.3 * math.sqrt(2.0)
+        exact = self._exact(alpha, scale)
+        for k, probability in enumerate(exact):
+            # The vectorized probability may be off by a few ulps either way.
+            skewed = probability
+            for _ in range(abs(skew_ulps)):
+                skewed = np.nextafter(skewed, np.inf if skew_ulps > 0 else -np.inf)
+            for draw in (np.nextafter(probability, 0.0), probability, np.nextafter(probability, 1.0)):
+                accept = accept_draws(np.array([draw]), np.array([skewed]), lambda _: exact[k])
+                assert bool(accept[0]) == (draw < probability)
+
+    def test_far_draws_do_not_consult_the_scalar_expression(self):
+        def fail(_):
+            raise AssertionError("scalar expression consulted for a clear decision")
+
+        accept = accept_draws(np.array([0.1, 0.9]), np.array([0.5, 0.5]), fail)
+        assert accept.tolist() == [True, False]

@@ -3,8 +3,28 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.network.topology import Topology, edge_key
+
+
+class _SameRepr:
+    """Distinct (identity-compared) nodes that all print the same."""
+
+    def __repr__(self):
+        return "node"
+
+
+_nodes = st.one_of(
+    st.integers(),
+    st.text(max_size=6),
+    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+)
+
+
+def _sorted_key(node_a, node_b):
+    return tuple(sorted((node_a, node_b), key=repr))
 
 
 class TestEdgeKey:
@@ -14,6 +34,44 @@ class TestEdgeKey:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             edge_key(3, 3)
+
+    @given(st.integers(), st.integers())
+    def test_ints_match_repr_sort(self, node_a, node_b):
+        if node_a == node_b:
+            with pytest.raises(ValueError):
+                edge_key(node_a, node_b)
+        else:
+            assert edge_key(node_a, node_b) == _sorted_key(node_a, node_b)
+
+    @given(st.text(max_size=6), st.text(max_size=6))
+    def test_strs_match_repr_sort(self, node_a, node_b):
+        if node_a == node_b:
+            with pytest.raises(ValueError):
+                edge_key(node_a, node_b)
+        else:
+            assert edge_key(node_a, node_b) == _sorted_key(node_a, node_b)
+
+    @given(_nodes, _nodes)
+    def test_mixed_types_match_repr_sort(self, node_a, node_b):
+        if node_a == node_b:
+            with pytest.raises(ValueError):
+                edge_key(node_a, node_b)
+        else:
+            key = edge_key(node_a, node_b)
+            assert key == _sorted_key(node_a, node_b)
+            assert all(x is y for x, y in zip(key, _sorted_key(node_a, node_b)))
+
+    @given(st.booleans())
+    def test_equal_reprs_keep_argument_order(self, swap):
+        node_a, node_b = _SameRepr(), _SameRepr()
+        if swap:
+            node_a, node_b = node_b, node_a
+        key = edge_key(node_a, node_b)
+        expected = _sorted_key(node_a, node_b)
+        assert key[0] is expected[0] and key[1] is expected[1]
+        assert key[0] is node_a
+        with pytest.raises(ValueError):
+            edge_key(node_a, node_a)
 
 
 class TestConstruction:
