@@ -1,8 +1,6 @@
 """Classical channels.
 
-The entity-level simulations need classical-message latency (a swap is not
-usable at the far end until its 2-bit correction arrives) and the
-control-plane experiments need per-link byte accounting.  A
+The control-plane experiments need per-link byte accounting.  A
 :class:`ClassicalChannel` models one point-to-point link; a
 :class:`ClassicalNetwork` routes messages over a topology's edges using
 shortest paths and accumulates the per-link load.

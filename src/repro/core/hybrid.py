@@ -16,7 +16,6 @@ path.
 from __future__ import annotations
 
 import collections
-import math
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.lp.extensions import PairOverheads
@@ -109,9 +108,6 @@ class HybridPlanner:
     # ------------------------------------------------------------------ #
     # Cost accounting over the entanglement graph
     # ------------------------------------------------------------------ #
-    def _cost(self, node_a: NodeId, node_b: NodeId) -> int:
-        return int(math.ceil(self.overheads.distillation_for(node_a, node_b)))
-
     def _requirements(self, path: Sequence[NodeId], multiplicity: int) -> Tuple[Dict[EdgeKey, int], int]:
         """Pairs needed per entanglement edge, and swaps needed, to deliver ``multiplicity`` pairs.
 
@@ -136,9 +132,9 @@ class HybridPlanner:
                 needs[edge] = needs.get(edge, 0) + copies
                 break
             edge = edge_key(near, far)
-            needs[edge] = needs.get(edge, 0) + copies * self._cost(near, far)
+            needs[edge] = needs.get(edge, 0) + copies * self.overheads.pair_cost(near, far)
             swaps += copies
-            copies = copies * self._cost(source, near)
+            copies = copies * self.overheads.pair_cost(source, near)
         return needs, swaps
 
     # ------------------------------------------------------------------ #
@@ -155,7 +151,7 @@ class HybridPlanner:
         ledger holds at least ``D_{source,target}`` pairs of
         ``(source, target)`` ready to be consumed by the caller.
         """
-        required = self._cost(source, target)
+        required = self.overheads.pair_cost(source, target)
         deficit = required - self.ledger.count(source, target)
         if deficit <= 0:
             return []
@@ -191,8 +187,8 @@ class HybridPlanner:
                 return
             repeater = path[prefix_end_index - 1]
             far = path[prefix_end_index]
-            prefix_cost = self._cost(source, repeater)
-            edge_cost = self._cost(repeater, far)
+            prefix_cost = self.overheads.pair_cost(source, repeater)
+            edge_cost = self.overheads.pair_cost(repeater, far)
             # Build all required prefix pairs first, then perform the swaps.
             build(prefix_end_index - 1, copies * prefix_cost)
             for _ in range(copies):

@@ -17,10 +17,11 @@ parameters via :mod:`repro.quantum.distillation` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Mapping, Optional
 
-from repro.network.topology import EdgeKey, Topology, edge_key
+from repro.network.topology import EdgeKey, edge_key
 from repro.quantum.decoherence import DecoherenceModel, NoDecoherence
 from repro.quantum.distillation import DistillationProtocol, distillation_overhead
 
@@ -78,6 +79,20 @@ class PairOverheads:
         """The survival factor ``L_{x,y}`` for the pair ``{node_a, node_b}``."""
         return self.loss.get(edge_key(node_a, node_b), self.default_loss)
 
+    def pair_cost(self, node_a: NodeId, node_b: NodeId) -> int:
+        """Raw pairs one use of the pair ``{node_a, node_b}`` costs: ``ceil(D_{x,y})``.
+
+        This is the count-level cost every engine charges, so a fractional
+        ``D`` rounds up per use (``D = 1.5`` costs 2 raw pairs).
+        """
+        return math.ceil(self.distillation_for(node_a, node_b))
+
+    def uniform_pair_cost(self) -> Optional[int]:
+        """The :meth:`pair_cost` every pair shares, or ``None`` with per-pair overrides."""
+        if self.distillation:
+            return None
+        return math.ceil(self.default_distillation)
+
     def set_distillation(self, node_a: NodeId, node_b: NodeId, value: float) -> None:
         self._validate_distillation(value)
         self.distillation[edge_key(node_a, node_b)] = float(value)
@@ -123,12 +138,3 @@ class PairOverheads:
             default_distillation=distillation,
             default_loss=model.loss_factor(mean_storage_time),
         )
-
-
-def thin_generation_for_qec(topology: Topology, qec_overhead: float) -> Topology:
-    """Apply the paper's QEC extension: every ``g(x, y)`` becomes ``g(x, y) / R``."""
-    if qec_overhead < 1.0:
-        raise ValueError(f"QEC overhead R must be >= 1, got {qec_overhead}")
-    if qec_overhead == 1.0:
-        return topology
-    return topology.scale_generation_rates(1.0 / qec_overhead)

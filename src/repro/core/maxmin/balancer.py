@@ -23,7 +23,6 @@ and the swap counts as **one** swap operation toward the overhead metric.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Union
 
@@ -115,7 +114,7 @@ class MaxMinBalancer:
         key = edge_key(node_a, node_b)
         cost = self._cost_cache.get(key)
         if cost is None:
-            cost = int(math.ceil(self.overheads.distillation_for(node_a, node_b)))
+            cost = self.overheads.pair_cost(node_a, node_b)
             self._cost_cache[key] = cost
         return cost
 

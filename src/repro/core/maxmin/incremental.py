@@ -99,11 +99,7 @@ class IncrementalMaxMinBalancer(MaxMinBalancer):
         # small-count partners that dominate a balanced ledger)
         self._eligible: Dict[NodeId, Set[NodeId]] = {}
         # Uniform overheads collapse every distillation cost to one int.
-        self._uniform_cost: Optional[int] = (
-            int(np.ceil(self.overheads.default_distillation))
-            if not self.overheads.distillation
-            else None
-        )
+        self._uniform_cost: Optional[int] = self.overheads.uniform_pair_cost()
         self.ledger.subscribe_groups(self._on_group_mutation)
         self._rebuild_all()
 

@@ -22,8 +22,6 @@ from repro.network.generation import (
     GenerationProcess,
     PoissonGeneration,
 )
-from repro.network.link import GenerationLink
-from repro.network.node import QuantumNode
 from repro.network.routing import (
     all_pairs_shortest_path_lengths,
     k_shortest_paths,
@@ -52,10 +50,8 @@ __all__ = [
     "ConsumptionRequest",
     "DemandMatrix",
     "DeterministicGeneration",
-    "GenerationLink",
     "GenerationProcess",
     "PoissonGeneration",
-    "QuantumNode",
     "RequestSequence",
     "Topology",
     "all_pairs_shortest_path_lengths",

@@ -24,13 +24,9 @@ from repro.perf.kernels import (
     KERNELS_ENV,
     KernelPair,
     active_backend,
-    available_backends,
     candidate_block,
-    event_drain_order,
     get_kernel,
     kernel_names,
-    numba_available,
-    requested_backend,
     servable_prefix,
 )
 
@@ -41,12 +37,8 @@ __all__ = [
     "KERNELS_ENV",
     "KernelPair",
     "active_backend",
-    "available_backends",
     "candidate_block",
-    "event_drain_order",
     "get_kernel",
     "kernel_names",
-    "numba_available",
-    "requested_backend",
     "servable_prefix",
 ]

@@ -1,6 +1,6 @@
 """The benchmark-trajectory emitter behind ``repro bench``.
 
-Re-runs the workloads the ``benchmarks/`` suite times — the three
+Re-runs the workloads the ``benchmarks/`` suite times — the two
 accelerated kernels against their pure-Python references, the vectorized
 Werner batch algebra, the vectorized arrival sampling, the incremental
 balancer's convergence (through the group-keyed notification channel and
@@ -32,18 +32,12 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.perf.kernels import (
-    active_backend,
-    available_backends,
-    get_kernel,
-    kernel_names,
-)
+from repro.perf.kernels import active_backend, get_kernel, kernel_names
 from repro.perf.schemas import PERF_SCHEMA_VERSION, validate_bench
 from repro.perf.timing import median_of_k
 
 #: Input sizes per kernel: full (the checked-in trajectory) and quick (CI).
 _KERNEL_SIZES = {
-    "event-drain": {"full": 100_000, "quick": 20_000},
     "balancer-candidates": {"full": 600, "quick": 250},
     "serve-prefix": {"full": 200_000, "quick": 50_000},
 }
@@ -53,12 +47,6 @@ def _kernel_inputs(name: str, quick: bool):
     """Deterministic synthetic inputs for kernel ``name`` at trajectory scale."""
     size = _KERNEL_SIZES[name]["quick" if quick else "full"]
     rng = np.random.default_rng(6)
-    if name == "event-drain":
-        times = rng.integers(0, size // 4, size).astype(np.float64)
-        priorities = rng.integers(-2, 3, size).astype(np.int64)
-        sequences = np.arange(size, dtype=np.int64)
-        cancelled = rng.random(size) < 0.5
-        return (times, priorities, sequences, cancelled)
     if name == "balancer-candidates":
         headroom = rng.integers(0, 8, size).astype(np.int64)
         recipient = rng.integers(0, 10, (size, size)).astype(np.int64)
@@ -72,14 +60,7 @@ def _kernel_inputs(name: str, quick: bool):
     raise KeyError(f"no bench inputs for kernel {name!r}")
 
 
-def _accelerated_backend() -> str:
-    """The fastest accelerated backend available (numba > numpy)."""
-    backends = available_backends()
-    return "numba" if "numba" in backends else "numpy"
-
-
 def _kernel_benchmarks(repeats: int, warmup: int, quick: bool) -> List[Dict[str, Any]]:
-    backend = _accelerated_backend()
     entries = []
     for name in kernel_names():
         pair = get_kernel(name)
@@ -87,7 +68,7 @@ def _kernel_benchmarks(repeats: int, warmup: int, quick: bool) -> List[Dict[str,
         reference_seconds = median_of_k(
             lambda: pair.reference(*inputs), repeats=repeats, warmup=warmup
         )
-        accelerated = pair.implementation(backend)
+        accelerated = pair.numpy_impl
         accelerated_seconds = median_of_k(
             lambda: accelerated(*inputs), repeats=repeats, warmup=warmup
         )

@@ -1,9 +1,8 @@
 """Accelerated hot-path kernels behind the ``REPRO_KERNELS`` backend switch.
 
 Profiles of the large-topology sweeps (``repro profile scaling``) are
-dominated by three interpreter-bound loops: the event-queue drain/compaction
-ordering in :mod:`repro.sim.engine`, the balancer's candidate-block
-evaluation in :mod:`repro.core.maxmin`, and the per-request head-of-line
+dominated by two interpreter-bound loops: the balancer's candidate-block
+evaluation in :mod:`repro.core.maxmin` and the per-request head-of-line
 stepping of the consumption phase in :mod:`repro.protocols`.  Each of those
 hotspots is factored here into a *kernel*: a pure function over plain arrays
 with no simulator state, shipped as a (reference, accelerated) pair.
@@ -13,14 +12,10 @@ with no simulator state, shipped as a (reference, accelerated) pair.
   bit-for-bit on every input (the differential suite in
   ``tests/test_perf_kernels.py`` enumerates this registry and checks).
 * The **numpy** implementation vectorizes the same computation.
-* The optional **numba** implementation JIT-compiles a loop form; it is
-  used only when :mod:`numba` is importable.
 
 The backend is chosen by the ``REPRO_KERNELS`` environment variable
-(``python`` | ``numpy`` | ``numba``, default ``numpy``).  Requesting a
-backend that is unavailable in the current environment silently falls back
-to the pure-Python reference — accelerators are an optimisation, never a
-dependency.  The active backend also enters the result-cache key (see
+(``python`` | ``numpy``, default ``numpy``); any other value is an error.
+The active backend also enters the result-cache key (see
 :mod:`repro.runtime.cache`), so cached trials can never cross backends even
 though backends are bit-identical by contract.
 """
@@ -29,37 +24,21 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from heapq import heapify, heappop
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # type: ignore
-except Exception:  # pragma: no cover - the common (and CI) case
-    numba = None
 
 #: Environment variable selecting the kernel backend.
 KERNELS_ENV = "REPRO_KERNELS"
 
-#: Every backend the switch understands, in fallback-free preference order.
-KERNEL_BACKENDS: Tuple[str, ...] = ("python", "numpy", "numba")
+#: Every backend the switch understands.
+KERNEL_BACKENDS: Tuple[str, ...] = ("python", "numpy")
 
 #: Backend used when ``REPRO_KERNELS`` is unset.
 DEFAULT_BACKEND = "numpy"
 
 
-def numba_available() -> bool:
-    """Whether the optional numba JIT backend can be used at all."""
-    return numba is not None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The backends usable in this environment (numba only if importable)."""
-    return tuple(b for b in KERNEL_BACKENDS if b != "numba" or numba_available())
-
-
-def requested_backend() -> str:
+def active_backend() -> str:
     """The backend named by ``$REPRO_KERNELS`` (validated), default ``numpy``."""
     value = os.environ.get(KERNELS_ENV, "").strip() or DEFAULT_BACKEND
     if value not in KERNEL_BACKENDS:
@@ -70,41 +49,22 @@ def requested_backend() -> str:
     return value
 
 
-def active_backend() -> str:
-    """The backend kernels actually dispatch to right now.
-
-    An unavailable requested backend (e.g. ``numba`` without numba
-    installed) falls back to the pure-Python reference rather than failing:
-    accelerated kernels are bit-identical to the reference, so degrading is
-    always safe.
-    """
-    backend = requested_backend()
-    if backend not in available_backends():
-        return "python"
-    return backend
-
-
 # ---------------------------------------------------------------------- #
 # Registry
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class KernelPair:
-    """One hotspot kernel: the reference and its accelerated twins."""
+    """One hotspot kernel: the reference and its vectorized twin."""
 
     name: str
     summary: str
     reference: Callable
     numpy_impl: Callable
-    numba_impl: Optional[Callable] = None
 
     def implementation(self, backend: str) -> Callable:
-        """The callable for ``backend`` (reference when it has no impl)."""
+        """The callable for ``backend``."""
         if backend == "numpy":
             return self.numpy_impl
-        if backend == "numba":
-            if self.numba_impl is not None and numba_available():
-                return self.numba_impl
-            return self.reference
         if backend == "python":
             return self.reference
         raise ValueError(f"unknown kernel backend {backend!r}")
@@ -137,89 +97,7 @@ def get_kernel(name: str) -> KernelPair:
 
 
 # ---------------------------------------------------------------------- #
-# Kernel 1: event-drain — dispatch order of a simulation event batch
-# ---------------------------------------------------------------------- #
-def _event_drain_python(
-    times: np.ndarray,
-    priorities: np.ndarray,
-    sequences: np.ndarray,
-    cancelled: np.ndarray,
-) -> np.ndarray:
-    """Indices of live events in dispatch order ``(time, priority, sequence)``.
-
-    The reference mirrors what :class:`repro.sim.engine.EventQueue` does one
-    ``heappop`` at a time: heapify the live events and drain the heap.
-    """
-    heap = [
-        (times[i], priorities[i], sequences[i], i)
-        for i in range(len(times))
-        if not cancelled[i]
-    ]
-    heapify(heap)
-    order = []
-    while heap:
-        order.append(heappop(heap)[3])
-    return np.asarray(order, dtype=np.int64)
-
-
-def _event_drain_numpy(
-    times: np.ndarray,
-    priorities: np.ndarray,
-    sequences: np.ndarray,
-    cancelled: np.ndarray,
-) -> np.ndarray:
-    live = np.flatnonzero(~np.asarray(cancelled, dtype=bool))
-    # lexsort's last key is primary; sequences are unique, so the order is
-    # total and exactly matches the heap's (time, priority, sequence) drain.
-    order = np.lexsort((sequences[live], priorities[live], times[live]))
-    return live[order].astype(np.int64, copy=False)
-
-
-def _event_drain_numba_source(times, priorities, sequences, cancelled):  # pragma: no cover
-    n = times.shape[0]
-    index = np.empty(n, np.int64)
-    count = 0
-    for i in range(n):
-        if not cancelled[i]:
-            index[count] = i
-            count += 1
-    live = index[:count]
-
-    def less(a, b):
-        if times[a] != times[b]:
-            return times[a] < times[b]
-        if priorities[a] != priorities[b]:
-            return priorities[a] < priorities[b]
-        return sequences[a] < sequences[b]
-
-    def sift_down(heap, start, end):
-        root = start
-        while True:
-            child = 2 * root + 1
-            if child > end:
-                break
-            if child + 1 <= end and less(heap[child + 1], heap[child]):
-                child += 1
-            if less(heap[child], heap[root]):
-                heap[root], heap[child] = heap[child], heap[root]
-                root = child
-            else:
-                break
-
-    for start in range(count // 2 - 1, -1, -1):
-        sift_down(live, start, count - 1)
-    out = np.empty(count, np.int64)
-    end = count - 1
-    for k in range(count):
-        out[k] = live[0]
-        live[0] = live[end]
-        end -= 1
-        sift_down(live, 0, end)
-    return out
-
-
-# ---------------------------------------------------------------------- #
-# Kernel 2: balancer-candidates — one repeater's preferable-swap block
+# Kernel 1: balancer-candidates — one repeater's preferable-swap block
 # ---------------------------------------------------------------------- #
 def _candidate_block_python(
     headroom: np.ndarray, recipient: np.ndarray
@@ -255,29 +133,8 @@ def _candidate_block_numpy(
     return rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
 
 
-def _candidate_block_numba_source(headroom, recipient):  # pragma: no cover
-    k = headroom.shape[0]
-    count = 0
-    for r in range(k):
-        for c in range(r + 1, k):
-            limit = min(headroom[r], headroom[c])
-            if recipient[r, c] + 1 <= limit:
-                count += 1
-    rows = np.empty(count, np.int64)
-    cols = np.empty(count, np.int64)
-    out = 0
-    for r in range(k):
-        for c in range(r + 1, k):
-            limit = min(headroom[r], headroom[c])
-            if recipient[r, c] + 1 <= limit:
-                rows[out] = r
-                cols[out] = c
-                out += 1
-    return rows, cols
-
-
 # ---------------------------------------------------------------------- #
-# Kernel 3: serve-prefix — how many head-of-line requests a round can serve
+# Kernel 2: serve-prefix — how many head-of-line requests a round can serve
 # ---------------------------------------------------------------------- #
 def _serve_prefix_python(codes: np.ndarray, budgets: np.ndarray) -> int:
     """Length of the maximal servable head-of-line prefix.
@@ -330,40 +187,12 @@ def _serve_prefix_numpy(codes: np.ndarray, budgets: np.ndarray) -> int:
     return n
 
 
-def _serve_prefix_numba_source(codes, budgets):  # pragma: no cover
-    remaining = budgets.copy()
-    served = 0
-    for i in range(codes.shape[0]):
-        code = codes[i]
-        if remaining[code] <= 0:
-            return served
-        remaining[code] -= 1
-        served += 1
-    return served
-
-
-def _maybe_jit(function):  # pragma: no cover - compiled only under numba
-    if numba is None:
-        return None
-    return numba.njit(cache=False)(function)
-
-
-register_kernel(
-    KernelPair(
-        name="event-drain",
-        summary="dispatch order of a (time, priority, sequence) event batch",
-        reference=_event_drain_python,
-        numpy_impl=_event_drain_numpy,
-        numba_impl=_maybe_jit(_event_drain_numba_source),
-    )
-)
 register_kernel(
     KernelPair(
         name="balancer-candidates",
         summary="one repeater's preferable-swap block over partner headrooms",
         reference=_candidate_block_python,
         numpy_impl=_candidate_block_numpy,
-        numba_impl=_maybe_jit(_candidate_block_numba_source),
     )
 )
 register_kernel(
@@ -372,7 +201,6 @@ register_kernel(
         summary="maximal servable head-of-line request prefix per round",
         reference=_serve_prefix_python,
         numpy_impl=_serve_prefix_numpy,
-        numba_impl=_maybe_jit(_serve_prefix_numba_source),
     )
 )
 
@@ -380,11 +208,6 @@ register_kernel(
 # ---------------------------------------------------------------------- #
 # Dispatch helpers used by the integration sites
 # ---------------------------------------------------------------------- #
-def event_drain_order(times, priorities, sequences, cancelled) -> np.ndarray:
-    """Dispatch-order indices of the live events (see ``event-drain``)."""
-    return get_kernel("event-drain").dispatch()(times, priorities, sequences, cancelled)
-
-
 def candidate_block(headroom, recipient) -> Tuple[np.ndarray, np.ndarray]:
     """Valid candidate (row, col) pairings (see ``balancer-candidates``)."""
     return get_kernel("balancer-candidates").dispatch()(headroom, recipient)

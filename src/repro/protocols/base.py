@@ -14,12 +14,9 @@ right now).
 from __future__ import annotations
 
 import abc
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Union
-
-import numpy as np
 
 from repro.obs.spans import emit as emit_span
 from repro.obs.spans import telemetry_enabled
@@ -171,7 +168,7 @@ class SwappingProtocol(abc.ABC):
     # ------------------------------------------------------------------ #
     def distillation_cost(self, node_a: NodeId, node_b: NodeId) -> int:
         """Integer raw-pair cost of one use of the pair ``(node_a, node_b)``."""
-        return int(math.ceil(self.overheads.distillation_for(node_a, node_b)))
+        return self.overheads.pair_cost(node_a, node_b)
 
     # ------------------------------------------------------------------ #
     # Phases
@@ -223,8 +220,7 @@ class SwappingProtocol(abc.ABC):
         )
         # Timed workloads release arrivals (through admission control) at
         # the very start of each round -- before scenario perturbations and
-        # generation -- mirroring the discrete-event engine's ordering of
-        # REQUEST_ARRIVAL events at the same instant.
+        # generation.
         release = getattr(self.requests, "on_round", None)
         if release is not None:
             simulator.add_hook(RoundPhase.GENERATION, release)

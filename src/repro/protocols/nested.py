@@ -21,7 +21,6 @@ which agrees with the paper at ``n = 2`` and reduces to the true minimum
 from __future__ import annotations
 
 import functools
-import math
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.lp.extensions import PairOverheads
@@ -135,9 +134,9 @@ def required_link_pairs(
     def recurse(lo: int, hi: int) -> Dict[EdgeKey, int]:
         if hi - lo == 1:
             edge = edge_key(path[lo], path[hi])
-            return {edge: int(math.ceil(overheads.distillation_for(*edge)))}
+            return {edge: overheads.pair_cost(*edge)}
         mid = (lo + hi) // 2
-        cost = int(math.ceil(overheads.distillation_for(path[lo], path[hi])))
+        cost = overheads.pair_cost(path[lo], path[hi])
         needs: Dict[EdgeKey, int] = {}
         for half in (recurse(lo, mid), recurse(mid, hi)):
             for edge, amount in half.items():
@@ -173,11 +172,11 @@ def execute_nested(
     def build(lo: int, hi: int, copies: int) -> None:
         """Build ``copies`` distilled pairs over the segment ``path[lo..hi]``."""
         if hi - lo == 1:
-            cost = int(math.ceil(overheads.distillation_for(path[lo], path[hi])))
+            cost = overheads.pair_cost(path[lo], path[hi])
             ledger.remove(path[lo], path[hi], cost * copies)
             return
         mid = (lo + hi) // 2
-        cost = int(math.ceil(overheads.distillation_for(path[lo], path[hi])))
+        cost = overheads.pair_cost(path[lo], path[hi])
         raw_needed = cost * copies
         build(lo, mid, raw_needed)
         build(mid, hi, raw_needed)

@@ -14,20 +14,16 @@ physically grounded layer underneath it:
 * :mod:`repro.quantum.batch` -- the same algebra vectorized over whole
   batches of pairs (NumPy array ops), for Monte-Carlo studies that evolve
   thousands of pairs per step.
-* :mod:`repro.quantum.bell_pair` / :mod:`repro.quantum.memory` -- the Bell
-  pair entity and per-node quantum memory used by the entity-level
-  simulations.
 * :mod:`repro.quantum.distillation` -- BBPSSW and DEJMPS purification, plus
   the expected-cost model that produces the paper's ``D`` parameter.
 * :mod:`repro.quantum.qec` -- the quantum-error-correction overhead model
   (rate ``R`` thinning of generation) of Section 3.2.
 * :mod:`repro.quantum.decoherence` -- memory decoherence models producing
   the loss factor ``L`` of Section 3.2.
-* :mod:`repro.quantum.swap` / :mod:`repro.quantum.teleportation` -- the two
-  operations the network exists to support.
+* :mod:`repro.quantum.teleportation` -- the density-matrix teleportation
+  circuit that validates the closed-form teleportation fidelity.
 """
 
-from repro.quantum.bell_pair import BellPair, PairId, pair_key
 from repro.quantum.batch import (
     BellPairBatch,
     chained_swap_fidelity_batch,
@@ -39,7 +35,6 @@ from repro.quantum.batch import (
     teleportation_fidelity_batch,
 )
 from repro.quantum.decoherence import (
-    CutoffPolicy,
     DecoherenceModel,
     ExponentialDecoherence,
     NoDecoherence,
@@ -63,39 +58,27 @@ from repro.quantum.fidelity import (
     werner_from_fidelity,
 )
 from repro.quantum.gates import CNOT, CZ, HADAMARD, IDENTITY, PAULI_X, PAULI_Y, PAULI_Z
-from repro.quantum.memory import MemoryFullError, QuantumMemory, StoredQubit
-from repro.quantum.qec import QECCode, apply_qec_thinning, surface_code_overhead
+from repro.quantum.qec import QECCode, surface_code_overhead
 from repro.quantum.states import DensityMatrix, bell_state, fidelity as state_fidelity
-from repro.quantum.swap import SwapOutcome, SwapPhysics
-from repro.quantum.teleportation import TeleportationOutcome, teleport, teleportation_circuit_fidelity
+from repro.quantum.teleportation import teleportation_circuit_fidelity
 
 __all__ = [
-    "BellPair",
     "BellPairBatch",
     "CNOT",
     "CZ",
-    "CutoffPolicy",
     "DecoherenceModel",
     "DensityMatrix",
     "DistillationProtocol",
     "ExponentialDecoherence",
     "HADAMARD",
     "IDENTITY",
-    "MemoryFullError",
     "NoDecoherence",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
-    "PairId",
     "QECCode",
-    "QuantumMemory",
-    "StoredQubit",
-    "SwapOutcome",
-    "SwapPhysics",
-    "TeleportationOutcome",
     "WERNER_MINIMUM_USEFUL_FIDELITY",
     "WernerState",
-    "apply_qec_thinning",
     "bbpssw_output_fidelity",
     "bbpssw_success_probability",
     "bell_state",
@@ -107,7 +90,6 @@ __all__ = [
     "distillation_outcomes_batch",
     "distillation_overhead",
     "expected_pairs_for_target",
-    "pair_key",
     "rounds_to_target_fidelity",
     "state_fidelity",
     "surface_code_overhead",
@@ -115,7 +97,6 @@ __all__ = [
     "swap_fidelity",
     "swap_fidelity_batch",
     "swap_outcomes_batch",
-    "teleport",
     "teleportation_circuit_fidelity",
     "teleportation_fidelity",
     "teleportation_fidelity_batch",

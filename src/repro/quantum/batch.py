@@ -1,8 +1,7 @@
 """Vectorized Werner-state algebra over whole batches of Bell pairs.
 
-:mod:`repro.quantum.fidelity` and :mod:`repro.quantum.swap` operate one
-pair at a time, which is the right granularity for the entity-level
-simulations but a Python-loop bottleneck for Monte-Carlo studies that
+:mod:`repro.quantum.fidelity` operates one pair at a time, which is a
+Python-loop bottleneck for Monte-Carlo studies that
 evolve thousands of pairs per step (coherence sweeps, capacity planning,
 fidelity-distribution estimates).  This module provides the same closed
 forms as NumPy array operations: every function accepts array inputs of
@@ -117,9 +116,10 @@ def swap_outcomes_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Attempt one entanglement swap per element of a batch.
 
-    The batched counterpart of :meth:`repro.quantum.swap.SwapPhysics.attempt`
-    for the quality model alone (no pair bookkeeping): each slot ``i``
-    swaps a pair of fidelity ``fidelity_a[i]`` with one of ``fidelity_b[i]``.
+    A Bell measurement succeeds with probability ``measurement_efficiency``
+    and a successful swap composes the fidelities (:func:`swap_fidelity_batch`)
+    and then depolarises by ``gate_fidelity``: each slot ``i`` swaps a pair
+    of fidelity ``fidelity_a[i]`` with one of ``fidelity_b[i]``.
 
     Returns
     -------
@@ -251,8 +251,7 @@ class BellPairBatch:
         """Swap slot ``i`` of this population with slot ``i`` of ``other``.
 
         Failed swaps (lossy Bell measurements) simply drop out of the
-        returned population, mirroring the consume-on-failure semantics of
-        :meth:`repro.quantum.swap.SwapPhysics.attempt`.
+        returned population: a failed swap consumes both input pairs.
         """
         if len(self) != len(other):
             raise ValueError(

@@ -2,8 +2,7 @@
 
 The paper's LP extension (§3.2) folds decoherence into a loss factor
 ``L_{x,y}``: the fraction of fully distilled pairs that survive long enough
-to be used.  The entity-level simulations instead track individual pair
-lifetimes; both views are provided here.
+to be used.  The models here produce that factor from a memory's decay.
 
 The paper's headline evaluation assumes long-lived memories (its motivating
 trend), which corresponds to :class:`NoDecoherence`.
@@ -14,9 +13,6 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 from repro.quantum.fidelity import decohered_fidelity
 
@@ -38,10 +34,6 @@ class DecoherenceModel(abc.ABC):
         """Fidelity of a stored pair after ``elapsed`` time."""
 
     @abc.abstractmethod
-    def sample_lifetime(self, rng: np.random.Generator) -> float:
-        """Sample the time until the pair is considered lost."""
-
-    @abc.abstractmethod
     def loss_factor(self, mean_storage_time: float) -> float:
         """The LP loss factor ``L``: expected survival over a mean storage time."""
 
@@ -53,9 +45,6 @@ class NoDecoherence(DecoherenceModel):
         if elapsed < 0:
             raise ValueError(f"elapsed must be non-negative, got {elapsed}")
         return initial_fidelity
-
-    def sample_lifetime(self, rng: np.random.Generator) -> float:
-        return math.inf
 
     def loss_factor(self, mean_storage_time: float) -> float:
         return 1.0
@@ -72,36 +61,16 @@ class ExponentialDecoherence(DecoherenceModel):
     ----------
     coherence_time:
         The ``1/e`` time constant of the depolarising decay.
-    cutoff_fidelity:
-        Pairs whose fidelity falls below this value are considered lost (the
-        sampled lifetime is the time to reach the cutoff).
     """
 
     coherence_time: float
-    cutoff_fidelity: float = 0.5
 
     def __post_init__(self) -> None:
         if self.coherence_time <= 0:
             raise ValueError(f"coherence_time must be positive, got {self.coherence_time}")
-        if not 0.25 <= self.cutoff_fidelity < 1.0:
-            raise ValueError(
-                f"cutoff_fidelity must be within [0.25, 1), got {self.cutoff_fidelity}"
-            )
 
     def fidelity_after(self, initial_fidelity: float, elapsed: float) -> float:
         return decohered_fidelity(initial_fidelity, elapsed, self.coherence_time)
-
-    def time_to_cutoff(self, initial_fidelity: float) -> float:
-        """Deterministic time for a pair to decay to the cutoff fidelity."""
-        if initial_fidelity <= self.cutoff_fidelity:
-            return 0.0
-        numerator = initial_fidelity - 0.25
-        denominator = self.cutoff_fidelity - 0.25
-        return self.coherence_time * math.log(numerator / denominator)
-
-    def sample_lifetime(self, rng: np.random.Generator) -> float:
-        """Sample an exponential lifetime with mean ``coherence_time``."""
-        return float(rng.exponential(self.coherence_time))
 
     def loss_factor(self, mean_storage_time: float) -> float:
         """Expected survival fraction for pairs stored ``mean_storage_time`` on average.
@@ -113,51 +82,3 @@ class ExponentialDecoherence(DecoherenceModel):
         if mean_storage_time < 0:
             raise ValueError(f"mean_storage_time must be non-negative, got {mean_storage_time}")
         return self.coherence_time / (self.coherence_time + mean_storage_time)
-
-
-@dataclass
-class RateScaledDecoherence(DecoherenceModel):
-    """Wrap a model so stored pairs age ``factor`` times faster.
-
-    The scenario layer's decoherence-rate ramps stack these wrappers on the
-    running simulation's model: scaling elapsed time by ``factor`` is
-    exactly a rate scale for exponential decay and a sensible definition
-    for any other model.
-    """
-
-    inner: DecoherenceModel
-    factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.factor <= 0:
-            raise ValueError(f"factor must be positive, got {self.factor}")
-
-    def fidelity_after(self, initial_fidelity: float, elapsed: float) -> float:
-        return self.inner.fidelity_after(initial_fidelity, elapsed * self.factor)
-
-    def sample_lifetime(self, rng: np.random.Generator) -> float:
-        return self.inner.sample_lifetime(rng) / self.factor
-
-    def loss_factor(self, mean_storage_time: float) -> float:
-        return self.inner.loss_factor(mean_storage_time * self.factor)
-
-
-@dataclass
-class CutoffPolicy:
-    """A transport-layer "cleansing" policy (paper, §6): drop pairs older than a cutoff.
-
-    Attributes
-    ----------
-    max_age:
-        Pairs older than this are discarded; ``None`` disables the policy.
-    """
-
-    max_age: Optional[float] = None
-
-    def should_discard(self, age: float) -> bool:
-        """Whether a pair of the given storage ``age`` should be discarded."""
-        if age < 0:
-            raise ValueError(f"age must be non-negative, got {age}")
-        if self.max_age is None:
-            return False
-        return age > self.max_age

@@ -5,18 +5,16 @@ applied to generated Bell pairs ... If the overhead of the QEC (i.e., the
 number of physical qubits per logical qubit) is R, we can simply thin the
 generation rate ``g(x, y)`` to be ``g(x, y) / R``."
 
-This module provides that thinning plus a small surface-code footprint model
-used by examples to pick plausible values of ``R``.
+The thinning itself lives where it is applied: the LP divides every rate by
+``R`` (:class:`~repro.core.lp.formulation.PathObliviousFlowProgram`), and the
+experiment runner scales the topology's rates.  This module provides the
+code model behind ``R`` and a small surface-code footprint model used by
+examples to pick plausible values of it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Mapping, Tuple
-
-NodeId = Hashable
-EdgeKey = Tuple[NodeId, NodeId]
 
 
 @dataclass(frozen=True)
@@ -52,13 +50,6 @@ class QECCode:
     def rate(self) -> float:
         """The code rate ``1 / R``."""
         return 1.0 / self.physical_per_logical
-
-
-def apply_qec_thinning(
-    generation_rates: Mapping[EdgeKey, float], code: QECCode
-) -> Dict[EdgeKey, float]:
-    """Thin every generation rate by the QEC overhead ``R`` (paper, §3.2)."""
-    return {edge: rate / code.physical_per_logical for edge, rate in generation_rates.items()}
 
 
 def surface_code_overhead(
@@ -106,10 +97,3 @@ def surface_code_overhead(
         physical_per_logical=footprint,
         logical_error_rate=prefactor * ratio ** ((distance + 1) / 2.0),
     )
-
-
-def effective_generation_rate(raw_rate: float, code: QECCode) -> float:
-    """Generation rate of *logical* (encoded) Bell pairs from a raw physical rate."""
-    if raw_rate < 0:
-        raise ValueError(f"raw_rate must be non-negative, got {raw_rate}")
-    return raw_rate / code.physical_per_logical

@@ -9,9 +9,8 @@ edge instead of letting queues grow without bound.
 
 Decisions are evaluated in arrival order at each request's own arrival
 round, so the admit/reject outcome is a pure function of the workload trace
-and the bucket parameters -- *independent of the serving engine*.  That is
-what lets the round-based and discrete-event drivers agree bit-for-bit on
-per-class admission counts under the same seed and workload spec.
+and the bucket parameters -- *independent of how the driver batches
+release*.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The timed, policy-ordered request queue both simulation engines drive.
+"""The timed, policy-ordered request queue the round-based driver releases.
 
 :class:`TimedRequestSequence` keeps the
 :class:`~repro.network.demand.RequestSequence` interface the protocols
@@ -14,12 +14,10 @@ release, and then waits in a queue ordered by the configured policy --
 * ``deadline``  -- earliest absolute deadline first, and queued requests
   whose deadline has already passed are *dropped* instead of served late.
 
-Release is driven by the engines: the round-based driver calls
-:meth:`on_round` as a pre-generation hook (like the scenario layer), the
-discrete-event engine schedules :data:`~repro.sim.events.EventType.
-REQUEST_ARRIVAL` events that call :meth:`release_until`.  Admission charges
+Release is driven by the round-based driver, which calls :meth:`on_round`
+as a pre-generation hook (like the scenario layer).  Admission charges
 tokens at each request's own arrival round regardless of when release is
-batched, so both engines compute identical admission outcomes.
+batched, so admission is a pure function of the arrival trace.
 """
 
 from __future__ import annotations
@@ -138,11 +136,6 @@ class TimedRequestSequence(RequestSequence):
         """Round-based driver hook (registered before the generation phase)."""
         self.release_until(float(round_index))
         return None
-
-    def arrival_times(self) -> List[int]:
-        """Distinct arrival rounds, sorted (the discrete-event engine's
-        :data:`~repro.sim.events.EventType.REQUEST_ARRIVAL` schedule)."""
-        return sorted({request.arrival_round for request in self._requests})
 
     # ------------------------------------------------------------------ #
     # The head-of-line interface the protocols drive

@@ -33,7 +33,7 @@ from repro.network.demand import (
     select_consumer_pairs,
 )
 from repro.network.topologies import cycle_topology
-from repro.perf.kernels import KERNELS_ENV, available_backends
+from repro.perf.kernels import KERNEL_BACKENDS, KERNELS_ENV
 from repro.protocols.oblivious import PathObliviousProtocol
 from repro.scenarios import build_scenario
 from repro.sim.rng import RandomStreams
@@ -166,7 +166,7 @@ def test_replay_matches_golden_trace(filename):
         )
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 @pytest.mark.parametrize("filename", ALL_GOLDEN_FILES)
 def test_replay_is_byte_identical_under_every_kernel_backend(
     filename, backend, monkeypatch

@@ -4,19 +4,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.lp.extensions import PairOverheads, thin_generation_for_qec
+from repro.core.hybrid import HybridPlanner
+from repro.core.lp.extensions import PairOverheads
 from repro.core.lp.formulation import PathObliviousFlowProgram, VariableIndex
 from repro.core.lp.objectives import Objective
 from repro.core.lp.solver import InfeasibleProgramError, solve_flow_program
+from repro.core.maxmin.incremental import make_balancer
+from repro.core.maxmin.ledger import PairCountLedger
 from repro.core.lp.steady_state import (
     compute_rates,
     max_feasible_uniform_demand,
     node_budget_violations,
     verify_steady_state,
 )
-from repro.network.demand import uniform_demand
+from repro.network.demand import RequestSequence, uniform_demand
 from repro.network.topologies import cycle_topology, grid_topology, line_topology
-from repro.network.topology import Topology
+from repro.network.topology import Topology, edge_key
+from repro.protocols.nested import execute_nested, required_link_pairs
+from repro.protocols.oblivious import PathObliviousProtocol
+from repro.quantum.qec import QECCode
 
 
 class TestPairOverheads:
@@ -54,12 +60,55 @@ class TestPairOverheads:
         )
         assert overheads.default_loss == pytest.approx(0.5)
 
-    def test_qec_thinning(self, small_cycle):
-        thinned = thin_generation_for_qec(small_cycle, 4.0)
-        assert thinned.generation_rate(0, 1) == pytest.approx(0.25)
-        assert thin_generation_for_qec(small_cycle, 1.0) is small_cycle
-        with pytest.raises(ValueError):
-            thin_generation_for_qec(small_cycle, 0.5)
+    def test_fractional_d_costs_its_ceiling_in_every_engine(self):
+        """Pins today's fractional-D rule: one use of a pair with D = 1.5
+        costs ceil(1.5) = 2 raw pairs in every count-level engine."""
+        uniform = PairOverheads.uniform(distillation=1.5)
+        per_pair = PairOverheads()
+        per_pair.set_distillation(0, 1, 1.5)
+        per_pair.set_distillation(1, 2, 1.5)
+        assert uniform.pair_cost(0, 1) == per_pair.pair_cost(1, 0) == 2
+        assert uniform.uniform_pair_cost() == 2
+        assert per_pair.uniform_pair_cost() is None
+
+        def line_ledger(count):
+            ledger = PairCountLedger([0, 1, 2])
+            ledger.add(0, 1, count)
+            ledger.add(1, 2, count)
+            return ledger
+
+        # Balancers: with 3 pairs per link a swap at node 1 spends 2 + 2,
+        # leaving too little headroom for a second one (D = 1 would swap twice).
+        for overheads in (uniform, per_pair):
+            for engine in ("naive", "incremental"):
+                ledger = line_ledger(3)
+                balancer = make_balancer(engine, ledger, overheads=overheads)
+                assert balancer.distillation_cost(0, 1) == 2
+                balancer.balance_to_convergence()
+                assert balancer.swaps_performed == 1, engine
+                assert (ledger.count(0, 1), ledger.count(1, 2), ledger.count(0, 2)) == (1, 1, 1)
+                ledger.add(0, 1, 1)
+                assert balancer.consume(0, 1) == 2
+                assert ledger.count(0, 1) == 0
+
+        # Hybrid fallback: two (0, 2) pairs for one use, each built from
+        # two (0, 1) and two (1, 2) pairs.
+        ledger = line_ledger(4)
+        planner = HybridPlanner(ledger, 1.5)
+        assert len(planner.try_satisfy(0, 2)) == 2
+        assert (ledger.count(0, 1), ledger.count(1, 2), ledger.count(0, 2)) == (0, 0, 2)
+
+        # Nested swapping along the same path charges the same way.
+        assert required_link_pairs([0, 1, 2], 1.5) == {edge_key(0, 1): 4, edge_key(1, 2): 4}
+        ledger = line_ledger(4)
+        assert len(execute_nested(ledger, [0, 1, 2], 1.5)) == 2
+        assert ledger.total_pairs() == 0
+
+        # The protocol driver's consumption cost.
+        protocol = PathObliviousProtocol(
+            line_topology(3), RequestSequence.round_robin([(0, 2)], 1), overheads=1.5
+        )
+        assert protocol.distillation_cost(0, 2) == 2
 
 
 class TestVariableIndex:
@@ -104,6 +153,19 @@ class TestFormulation:
     def test_rejects_bad_qec(self):
         with pytest.raises(ValueError):
             PathObliviousFlowProgram(cycle_topology(5), uniform_demand([(0, 2)], 0.1), qec_overhead=0.5)
+
+    @pytest.mark.parametrize(
+        "qec_overhead", [1.0, 2.0, QECCode(name="x", physical_per_logical=4.0).physical_per_logical]
+    )
+    def test_capability_is_g_over_r(self, qec_overhead):
+        topology = line_topology(3)
+        topology.add_edge(1, 2, 3.0)
+        program = PathObliviousFlowProgram(
+            topology, uniform_demand([(0, 2)], 0.1), qec_overhead=qec_overhead
+        )
+        assert program.generation_capability(edge_key(0, 1)) == pytest.approx(1.0 / qec_overhead)
+        assert program.generation_capability(edge_key(1, 2)) == pytest.approx(3.0 / qec_overhead)
+        assert topology.generation_rate(1, 2) == 3.0, "the topology itself is not mutated"
 
 
 class TestSolverOnKnownCases:

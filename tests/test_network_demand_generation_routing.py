@@ -24,8 +24,6 @@ from repro.network.generation import (
     PoissonGeneration,
     make_generation_process,
 )
-from repro.network.link import GenerationLink
-from repro.network.node import QuantumNode
 from repro.network.routing import (
     edge_disjoint_paths,
     k_shortest_paths,
@@ -35,7 +33,6 @@ from repro.network.routing import (
     validate_path,
 )
 from repro.network.topology import edge_key
-from repro.quantum.bell_pair import BellPair
 
 
 class TestSelectConsumerPairs:
@@ -394,49 +391,6 @@ class TestGenerationProcesses:
     def test_expected_rate(self, small_cycle):
         process = DeterministicGeneration(small_cycle)
         assert process.expected_rate(edge_key(0, 1)) == 1.0
-
-
-class TestLinkAndNode:
-    def test_link_effective_rate(self):
-        link = GenerationLink(0, 1, attempt_rate=10.0, success_probability=0.2)
-        assert link.effective_rate == pytest.approx(2.0)
-        assert link.expected_attempts_per_pair() == pytest.approx(5.0)
-
-    def test_link_validation(self):
-        with pytest.raises(ValueError):
-            GenerationLink(0, 0)
-        with pytest.raises(ValueError):
-            GenerationLink(0, 1, success_probability=0.0)
-        with pytest.raises(ValueError):
-            GenerationLink(0, 1, elementary_fidelity=0.1)
-
-    def test_link_generate(self, rng):
-        link = GenerationLink(0, 1, success_probability=1.0, elementary_fidelity=0.9)
-        pair = link.generate(now=2.0, rng=rng)
-        assert pair is not None
-        assert pair.fidelity == 0.9
-        assert pair.created_at == 2.0
-        never = GenerationLink(0, 1, success_probability=1e-12)
-        assert never.generate(now=0.0, rng=rng) is None
-
-    def test_node_pair_bookkeeping(self):
-        node = QuantumNode(0)
-        pair = BellPair(node_a=0, node_b=1)
-        node.store_pair(pair)
-        assert node.pair_count(1) == 1
-        assert node.entangled_partners() == [1]
-        node.release_pair(pair.pair_id)
-        assert node.pair_count(1) == 0
-
-    def test_node_stats(self):
-        node = QuantumNode(0)
-        node.record_swap()
-        node.record_generation()
-        node.record_consumption()
-        stats = node.stats()
-        assert stats["swaps_performed"] == 1
-        assert stats["pairs_generated"] == 1
-        assert stats["pairs_consumed"] == 1
 
 
 class TestRouting:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.obs import spans as spans_mod
-from repro.perf.kernels import KERNELS_ENV, available_backends
+from repro.perf.kernels import KERNEL_BACKENDS, KERNELS_ENV
 from repro.runtime.cache import ResultCache, config_digest
 from repro.runtime.sweep import SweepRunner
 
@@ -37,7 +37,7 @@ def _figure4_json(capsys, telemetry_path=None) -> str:
     return capsys.readouterr().out
 
 
-@pytest.mark.parametrize("backend", sorted(available_backends()))
+@pytest.mark.parametrize("backend", sorted(KERNEL_BACKENDS))
 def test_figure4_json_identical_with_and_without_telemetry(
     backend, capsys, tmp_path, monkeypatch
 ):

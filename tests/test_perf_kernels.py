@@ -2,7 +2,7 @@
 
 The heart of this file is the **differential harness**: every kernel in
 :data:`repro.perf.kernels.KERNEL_REGISTRY` is enumerated against every
-backend available in this environment and must reproduce the pure-Python
+backend and must reproduce the pure-Python
 reference bit-for-bit on Hypothesis-generated inputs.  A new kernel or a
 new backend is covered automatically just by being registered.
 """
@@ -29,20 +29,15 @@ from repro.perf.kernels import (
     KERNELS_ENV,
     KernelPair,
     active_backend,
-    available_backends,
     get_kernel,
     kernel_names,
-    numba_available,
     register_kernel,
-    requested_backend,
 )
 from repro.perf.profiler import format_report, profile_experiment, smoke_params
 from repro.perf.schemas import main as schemas_main
 from repro.perf.schemas import validate_bench, validate_profile
 from repro.perf.timing import median_of_k
 from repro.protocols import PathObliviousProtocol
-from repro.sim.engine import EventQueue
-from repro.sim.events import EventType, SimEvent
 from repro.sim.rng import RandomStreams
 
 
@@ -52,35 +47,25 @@ from repro.sim.rng import RandomStreams
 class TestBackendResolution:
     def test_default_backend_is_numpy(self, monkeypatch):
         monkeypatch.delenv(KERNELS_ENV, raising=False)
-        assert requested_backend() == DEFAULT_BACKEND == "numpy"
-        assert active_backend() == "numpy"
+        assert active_backend() == DEFAULT_BACKEND == "numpy"
 
     def test_explicit_backends_resolve(self, monkeypatch):
         for backend in ("python", "numpy"):
             monkeypatch.setenv(KERNELS_ENV, backend)
-            assert requested_backend() == backend
             assert active_backend() == backend
 
     def test_unknown_backend_is_an_error(self, monkeypatch):
         monkeypatch.setenv(KERNELS_ENV, "cuda")
         with pytest.raises(ValueError, match="cuda"):
-            requested_backend()
+            active_backend()
 
-    def test_unavailable_numba_falls_back_to_python(self, monkeypatch):
+    def test_numba_is_an_unknown_backend(self, monkeypatch):
+        assert KERNEL_BACKENDS == ("python", "numpy")
         monkeypatch.setenv(KERNELS_ENV, "numba")
-        if numba_available():  # pragma: no cover - numba-equipped machines
-            assert active_backend() == "numba"
-        else:
-            assert active_backend() == "python"
-            # ... and every kernel dispatches to its reference implementation
-            for name in kernel_names():
-                pair = get_kernel(name)
-                assert pair.dispatch() is pair.reference
-
-    def test_available_backends_always_include_the_portable_pair(self):
-        backends = available_backends()
-        assert "python" in backends and "numpy" in backends
-        assert set(backends) <= set(KERNEL_BACKENDS)
+        with pytest.raises(ValueError, match="not a kernel backend"):
+            active_backend()
+        with pytest.raises(ValueError, match="not a kernel backend"):
+            get_kernel("serve-prefix").dispatch()
 
     def test_registry_rejects_duplicate_names(self):
         pair = get_kernel(kernel_names()[0])
@@ -88,35 +73,17 @@ class TestBackendResolution:
             register_kernel(pair)
 
     def test_unknown_kernel_lookup_lists_the_registry(self):
-        with pytest.raises(KeyError, match="event-drain"):
+        with pytest.raises(KeyError, match="balancer-candidates"):
             get_kernel("no-such-kernel")
 
     def test_unknown_backend_dispatch_is_an_error(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_kernel("event-drain").implementation("fortran")
+            get_kernel("serve-prefix").implementation("fortran")
 
 
 # ---------------------------------------------------------------------- #
 # The differential harness: every kernel x every available backend
 # ---------------------------------------------------------------------- #
-@st.composite
-def event_drain_inputs(draw):
-    n = draw(st.integers(min_value=0, max_value=60))
-    # Small value ranges force plenty of (time, priority) ties, which is
-    # where a drain-order bug would hide.
-    times = np.asarray(
-        draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=np.float64
-    )
-    priorities = np.asarray(
-        draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), dtype=np.int64
-    )
-    sequences = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
-    cancelled = np.asarray(
-        draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool
-    )
-    return (times, priorities, sequences, cancelled)
-
-
 @st.composite
 def candidate_block_inputs(draw):
     k = draw(st.integers(min_value=0, max_value=10))
@@ -155,7 +122,6 @@ def serve_prefix_inputs(draw):
 #: entry here fails the coverage test below, so the differential harness
 #: can never silently skip a kernel.
 KERNEL_STRATEGIES = {
-    "event-drain": event_drain_inputs(),
     "balancer-candidates": candidate_block_inputs(),
     "serve-prefix": serve_prefix_inputs(),
 }
@@ -186,7 +152,7 @@ class TestKernelDifferential:
         inputs = data.draw(KERNEL_STRATEGIES[name])
         pair = get_kernel(name)
         expected = pair.reference(*inputs)
-        for backend in available_backends():
+        for backend in KERNEL_BACKENDS:
             actual = pair.implementation(backend)(*inputs)
             _assert_identical(expected, actual, f"{name} diverges on backend {backend}")
 
@@ -202,48 +168,6 @@ class TestKernelDifferential:
 # ---------------------------------------------------------------------- #
 # Integration sites stay backend-independent
 # ---------------------------------------------------------------------- #
-def _drain_all(queue: EventQueue):
-    order = []
-    while queue:
-        event = queue.pop()
-        order.append((event.time, event.priority, event.payload["tag"]))
-    return order
-
-
-def _build_cancel_heavy_queue(seed: int) -> EventQueue:
-    rng = np.random.default_rng(seed)
-    queue = EventQueue()
-    events = []
-    for tag in range(300):
-        event = SimEvent(
-            time=float(rng.integers(0, 40)),
-            event_type=EventType.GENERATION,
-            payload={"tag": tag},
-            priority=int(rng.integers(-1, 2)),
-        )
-        queue.push(event)
-        events.append(event)
-    for event in events:
-        if rng.random() < 0.7:
-            event.cancel()  # triggers compaction through the kernel
-    return queue
-
-
-class TestEngineCompaction:
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_drain_order_identical_across_backends(self, backend, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "python")
-        expected = _drain_all(_build_cancel_heavy_queue(seed=2))
-        monkeypatch.setenv(KERNELS_ENV, backend)
-        assert _drain_all(_build_cancel_heavy_queue(seed=2)) == expected
-
-    def test_compaction_physically_removes_cancelled_events(self):
-        queue = _build_cancel_heavy_queue(seed=3)
-        live = len(queue)
-        assert len(queue._heap) < 300  # compaction ran at least once
-        assert sum(not event.cancelled for event in queue._heap) == live
-
-
 def _run_protocol(seed: int = 7):
     topology = cycle_topology(8)
     requests = RequestSequence.round_robin([(0, 4), (1, 5), (2, 6)], 12)
@@ -274,7 +198,7 @@ class TestProtocolBackendIndependence:
     def test_runs_identical_across_backends(self, monkeypatch):
         fingerprints = {}
         states = {}
-        for backend in available_backends():
+        for backend in KERNEL_BACKENDS:
             monkeypatch.setenv(KERNELS_ENV, backend)
             _, result, streams = _run_protocol()
             fingerprints[backend] = _result_fingerprint(result)

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.quantum.decoherence import (
-    CutoffPolicy,
     ExponentialDecoherence,
     NoDecoherence,
     survival_probability,
@@ -24,7 +22,7 @@ from repro.quantum.distillation import (
     rounds_to_target_fidelity,
     werner_coefficients,
 )
-from repro.quantum.qec import QECCode, apply_qec_thinning, effective_generation_rate, surface_code_overhead
+from repro.quantum.qec import QECCode, surface_code_overhead
 
 
 class TestBBPSSW:
@@ -120,17 +118,6 @@ class TestQEC:
     def test_rate(self):
         assert QECCode(name="x", physical_per_logical=4.0).rate == pytest.approx(0.25)
 
-    def test_thinning(self):
-        code = QECCode(name="x", physical_per_logical=2.0)
-        thinned = apply_qec_thinning({(0, 1): 1.0, (1, 2): 3.0}, code)
-        assert thinned == {(0, 1): 0.5, (1, 2): 1.5}
-
-    def test_effective_generation_rate(self):
-        code = QECCode(name="x", physical_per_logical=4.0)
-        assert effective_generation_rate(8.0, code) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            effective_generation_rate(-1.0, code)
-
     def test_surface_code_distance_grows_with_target(self):
         lenient = surface_code_overhead(0.001, 1e-6)
         strict = surface_code_overhead(0.001, 1e-12)
@@ -155,7 +142,6 @@ class TestDecoherence:
         model = NoDecoherence()
         assert model.fidelity_after(0.9, 1e9) == pytest.approx(0.9)
         assert model.loss_factor(1e9) == 1.0
-        assert math.isinf(model.sample_lifetime(np.random.default_rng(0)))
 
     def test_exponential_fidelity_decay(self):
         model = ExponentialDecoherence(coherence_time=10.0)
@@ -169,28 +155,8 @@ class TestDecoherence:
         with pytest.raises(ValueError):
             model.loss_factor(-1.0)
 
-    def test_time_to_cutoff(self):
-        model = ExponentialDecoherence(coherence_time=10.0, cutoff_fidelity=0.5)
-        time_to_cutoff = model.time_to_cutoff(0.9)
-        assert time_to_cutoff > 0
-        assert model.fidelity_after(0.9, time_to_cutoff) == pytest.approx(0.5, abs=1e-9)
-        assert model.time_to_cutoff(0.4) == 0.0
-
-    def test_sample_lifetime_positive(self):
-        model = ExponentialDecoherence(coherence_time=10.0)
-        samples = [model.sample_lifetime(np.random.default_rng(i)) for i in range(10)]
-        assert all(sample > 0 for sample in samples)
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ExponentialDecoherence(coherence_time=0.0)
         with pytest.raises(ValueError):
-            ExponentialDecoherence(coherence_time=1.0, cutoff_fidelity=0.1)
-
-    def test_cutoff_policy(self):
-        policy = CutoffPolicy(max_age=5.0)
-        assert not policy.should_discard(4.0)
-        assert policy.should_discard(6.0)
-        assert not CutoffPolicy().should_discard(1e9)
-        with pytest.raises(ValueError):
-            policy.should_discard(-1.0)
+            ExponentialDecoherence(coherence_time=-1.0)

@@ -18,6 +18,7 @@ from repro.quantum.fidelity import (
     werner_from_fidelity,
 )
 from repro.quantum.states import DensityMatrix, bell_measurement, bell_state, fidelity
+from repro.quantum.teleportation import teleportation_circuit_fidelity
 
 
 class TestWernerState:
@@ -138,6 +139,16 @@ class TestTeleportationFidelity:
 
     def test_monotone(self):
         assert teleportation_fidelity(0.9) > teleportation_fidelity(0.7)
+
+    def test_circuit_perfect_resource_is_exact(self, rng):
+        for payload in ([1, 0], [0, 1], np.array([1, 1j]) / np.sqrt(2)):
+            assert teleportation_circuit_fidelity(payload, 1.0, rng=rng) == pytest.approx(1.0)
+
+    def test_circuit_matches_average_formula(self):
+        rng = np.random.default_rng(3)
+        payload = np.array([1.0, 1.0]) / np.sqrt(2)
+        values = [teleportation_circuit_fidelity(payload, 0.85, rng=rng) for _ in range(120)]
+        assert float(np.mean(values)) == pytest.approx(teleportation_fidelity(0.85), abs=0.03)
 
 
 class TestRequiredLinkFidelity:

@@ -18,7 +18,6 @@ from repro.experiments.runner import (
 from repro.experiments.traffic import TrafficExperiment, run_traffic
 from repro.network.demand import RequestSequence, select_consumer_pairs
 from repro.network.topologies import topology_from_name
-from repro.protocols.entity import EntityLevelSimulation
 from repro.runtime.cache import config_digest
 from repro.sim.rng import RandomStreams
 from repro.workloads import (
@@ -310,11 +309,6 @@ class TestTimedRequestSequence:
         assert remapped == 2  # the queued survivor and the future arrival
         assert sequence.requests()[0].pair == (0, 1)  # history untouched
 
-    def test_arrival_times_are_distinct_sorted(self):
-        sequence = TimedRequestSequence(
-            [_timed(0, (0, 1), 4), _timed(1, (1, 2), 1), _timed(2, (2, 3), 4)]
-        )
-        assert sequence.arrival_times() == [1, 4]
 
 
 # ---------------------------------------------------------------------- #
@@ -428,11 +422,9 @@ class TestGroupSloSummary:
 class TestTrafficClasses:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrafficClass(name="", priority=0, deadline=None, fidelity_floor=0.0)
+            TrafficClass(name="", priority=0, deadline=None)
         with pytest.raises(ValueError):
-            TrafficClass(name="x", priority=0, deadline=0, fidelity_floor=0.0)
-        with pytest.raises(ValueError):
-            TrafficClass(name="x", priority=0, deadline=None, fidelity_floor=1.5)
+            TrafficClass(name="x", priority=0, deadline=0)
 
     def test_mixes_reference_real_classes(self):
         for mix in CLASS_MIXES.values():
@@ -638,17 +630,18 @@ class TestRoundBasedIntegration:
 # ---------------------------------------------------------------------- #
 # Cross-engine agreement (round-based vs discrete-event)
 # ---------------------------------------------------------------------- #
-class TestEngineAgreement:
+class TestAdmissionIsTraceDetermined:
     def _admission_counts(self, slo):
         return {
             name: (row["arrivals"], row["admitted"], row["rejected"])
             for name, row in slo.items()
         }
 
-    def test_round_and_event_drivers_agree_on_admission_counts(self):
-        """Admission is a pure function of the arrival trace, so both engines
-        must reach identical per-class admitted/rejected counts for the same
-        seed and workload spec."""
+    def test_admission_ignores_release_batching(self):
+        """Admission is a pure function of the arrival trace: a full
+        round-based run and one release of the whole trace at once reach
+        identical per-class admitted/rejected counts for the same seed and
+        workload spec."""
         spec = "poisson:rate=4,admission_rate=1,admission_burst=2"
         config = ExperimentConfig(
             topology="cycle",
@@ -664,15 +657,8 @@ class TestEngineAgreement:
         streams = RandomStreams(config.seed)
         topology = build_topology(config, streams)
         build = build_workload_requests(config, topology, streams)
-        simulation = EntityLevelSimulation(
-            topology,
-            build.requests,
-            fidelity_threshold=0.5,
-            max_time=4000.0,
-            streams=streams,
-        )
-        simulation.run()
-        entity_slo = {
+        build.requests.release_until(float(config.max_rounds))
+        batched_slo = {
             name: {
                 "arrivals": row.arrivals,
                 "admitted": row.admitted,
@@ -680,65 +666,10 @@ class TestEngineAgreement:
             }
             for name, row in slo_summary(build.requests.requests()).items()
         }
+        assert batched_slo["total"]["rejected"] > 0, "the spec must exercise rejection"
         assert self._admission_counts(round_outcome.slo) == self._admission_counts(
-            entity_slo
+            batched_slo
         )
-
-    def test_entity_engine_serves_timed_workload(self):
-        topology = topology_from_name("cycle", 7)
-        build = build_workload(
-            "poisson:rate=2",
-            topology,
-            n_consumer_pairs=4,
-            n_requests=10,
-            streams=RandomStreams(2),
-        )
-        simulation = EntityLevelSimulation(
-            topology, build.requests, fidelity_threshold=0.5, max_time=2000.0
-        )
-        result = simulation.run()
-        assert result.requests_satisfied > 0
-        assert result.requests_total == len(build.requests)
-
-    def test_entity_engine_latencies_never_negative(self):
-        """Regression: satisfaction stamps must use the engine clock for
-        timed workloads (the round counter lags arrivals by one, which used
-        to yield latency_rounds == -1)."""
-        topology = topology_from_name("cycle", 7)
-        build = build_workload(
-            "poisson:rate=3",
-            topology,
-            n_consumer_pairs=4,
-            n_requests=15,
-            streams=RandomStreams(5),
-        )
-        EntityLevelSimulation(
-            topology, build.requests, fidelity_threshold=0.5, max_time=2000.0
-        ).run()
-        latencies = [
-            request.latency_rounds
-            for request in build.requests.requests()
-            if request.latency_rounds is not None
-        ]
-        assert latencies, "the run should serve at least one request"
-        assert min(latencies) >= 0
-
-    def test_entity_engine_respects_class_fidelity_floor(self):
-        """A premium request must not be served below its class floor even
-        when the global threshold would accept the pair."""
-        topology = topology_from_name("cycle", 5)
-        premium = TRAFFIC_CLASSES["premium"]
-        request = TimedRequest(index=0, pair=(0, 1), arrival_round=0, traffic_class=premium)
-        sequence = TimedRequestSequence([request])
-        simulation = EntityLevelSimulation(
-            topology,
-            sequence,
-            elementary_fidelity=0.7,  # below the premium floor of 0.85
-            fidelity_threshold=0.5,
-            max_time=50.0,
-        )
-        result = simulation.run()
-        assert result.requests_satisfied == 0
 
 
 # ---------------------------------------------------------------------- #
